@@ -55,19 +55,13 @@ object Ateuc {
     // Confidence level across all prefixes and iterations (union bound).
     val a = math.log(n.toDouble) + math.log(MaxIterations / 0.01)
 
-    val sets = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
-    var generated = 0L
-    def grow(upTo: Long): Unit = {
-      val need = (upTo - generated).toInt
-      if (need > 0) { sets ++= ctx.generate(generated, need); generated += need }
-    }
-
     var theta = InitialTheta.toLong
     var iter = 1
     var fallback: Array[Int] = Array.empty
     while (iter <= MaxIterations) {
-      grow(theta)
-      val seq = Coverage.greedySequence(n, sets.toIndexedSeq, n)
+      ctx.growTo(theta)
+      val generated = ctx.pool.length
+      val seq = Coverage.greedySequence(n, ctx.pool, n)
       var sL = -1
       var sU: Array[Int] = null
       var plain: Array[Int] = null
@@ -83,7 +77,7 @@ object Ateuc {
       }
       if (plain != null) fallback = plain
       if (sU != null && sL > 0 && sU.length <= 2 * sL)
-        return AteucResult(sU, estSpread(n, sets.toIndexedSeq, sU),
+        return AteucResult(sU, estSpread(n, ctx.pool, sU),
                            ctx.totalSamples, ctx.totalWork, iter)
       theta *= 2
       iter += 1
@@ -91,10 +85,10 @@ object Ateuc {
     // Budget exhausted: return the last estimate-feasible prefix (still a
     // sensible non-adaptive answer; flagged by iterations == MaxIterations+1).
     val finalSeeds = if (fallback.nonEmpty) fallback else Array.tabulate(n)(identity)
-    AteucResult(finalSeeds, estSpread(n, sets.toIndexedSeq, finalSeeds),
+    AteucResult(finalSeeds, estSpread(n, ctx.pool, finalSeeds),
                 ctx.totalSamples, ctx.totalWork, MaxIterations + 1)
   }
 
-  private def estSpread(n: Int, sets: IndexedSeq[Array[Int]], seeds: Array[Int]): Double =
+  private def estSpread(n: Int, sets: collection.IndexedSeq[Array[Int]], seeds: Array[Int]): Double =
     n.toDouble * Coverage.coveredBy(sets, seeds) / sets.length
 }

@@ -6,29 +6,21 @@ import repro.diffusion.{DiffusionModel, Realization}
 import repro.graph.CompactGraph
 import repro.util.Rng
 
-/** Per-round seed selection policy plugged into the ASTI loop. */
-sealed trait Selector {
-  def name: String
-
-  /** Whether the sampler should draw vanilla single-root RR-sets (AdaptIM)
-    * instead of truncated-estimator multi-roots (TRIM/TRIM-B).
-    */
-  def vanillaRoots: Boolean = false
-
-  def select(ctx: MRRSamplerCtx, eps: Double): SelectResult
-}
+/** Per-round seed selection policy plugged into the ASTI loop: every
+  * selector runs `Trim.select` and differs only in its inputs.
+  *
+  * @param b            batch size per round (1 for TRIM and AdaptIM)
+  * @param vanillaRoots whether the sampler draws vanilla single-root RR-sets
+  *                     (AdaptIM) instead of truncated-estimator multi-roots
+  *                     (TRIM/TRIM-B)
+  */
+sealed abstract class Selector(val b: Int, val vanillaRoots: Boolean, val name: String)
 
 /** ASTI instantiated by TRIM (batch size 1). */
-case object TrimSelector extends Selector {
-  val name = "ASTI"
-  def select(ctx: MRRSamplerCtx, eps: Double): SelectResult = Trim.select(ctx, eps)
-}
+case object TrimSelector extends Selector(1, false, "ASTI")
 
 /** ASTI instantiated by TRIM-B with batch size b (paper's ASTI-b). */
-final case class TrimBSelector(b: Int) extends Selector {
-  val name = s"ASTI-$b"
-  def select(ctx: MRRSamplerCtx, eps: Double): SelectResult = TrimB.select(ctx, eps, b)
-}
+final case class TrimBSelector(override val b: Int) extends Selector(b, false, s"ASTI-$b")
 
 /** AdaptIM baseline: same adaptive loop, but each round maximizes the vanilla
   * expected marginal spread with single-root RR-sets (Han et al. VLDB'18,
@@ -36,11 +28,7 @@ final case class TrimBSelector(b: Int) extends Selector {
   * exactly why its per-round sample count scales with n_i/OPT′_i instead of
   * η_i/OPT_i.
   */
-case object AdaptImSelector extends Selector {
-  val name = "ADAPTIM"
-  override val vanillaRoots = true
-  def select(ctx: MRRSamplerCtx, eps: Double): SelectResult = Trim.select(ctx, eps)
-}
+case object AdaptImSelector extends Selector(1, true, "ADAPTIM")
 
 /** Result of one adaptive run on one realization. */
 final case class AstiResult(
@@ -85,7 +73,7 @@ object Asti {
       val ctx = new MRRSamplerCtx(
         spark, bg, state.inactive, state.inactiveNodes, state.etaI, model,
         selector.vanillaRoots, Rng.state(algoSeed, rounds))
-      val sel = selector.select(ctx, eps)
+      val sel = Trim.select(ctx, eps, selector.b)
       require(sel.seeds.nonEmpty, s"selector ${selector.name} returned no seeds")
       // Observe: the batch activates its forward-reachable set among the
       // still-inactive nodes under φ (Lines 4–6 of Algorithm 1).

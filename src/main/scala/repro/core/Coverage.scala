@@ -3,9 +3,8 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Coverage bookkeeping over a collection of (m)RR-sets: Λ_R(v) is the number
-  * of sets containing v (§3.4). Driver counting backs the tight inner loop;
-  * the RDD and DataFrame variants are the distributed mirrors used for large
-  * set collections and for oracle checks.
+  * of sets containing v (§3.4). Counting runs on the driver, inside the
+  * selection loop; the DataFrame view of the sets feeds the oracle checks.
   */
 object Coverage {
 
@@ -31,18 +30,6 @@ object Coverage {
     (best, counts(best))
   }
 
-  /** RDD mirror of `counts` via flatMap + reduceByKey. */
-  def countsRDD(spark: SparkSession, n: Int, sets: Seq[Array[Int]]): Array[Int] = {
-    val sc = spark.sparkContext
-    val c = new Array[Int](n)
-    sc.parallelize(sets)
-      .flatMap(set => set.iterator.map(v => (v, 1)))
-      .reduceByKey(_ + _)
-      .collect()
-      .foreach { case (v, cnt) => c(v) = cnt }
-    c
-  }
-
   /** Exploded (setId, node) relation — the SQL view of the set collection,
     * consumed by DuckDB-oracle tests.
     */
@@ -64,7 +51,7 @@ object Coverage {
     * Stops at `maxPicks` or when no node adds coverage. Shared by TRIM-B's
     * `Greedy(R)` (Algorithm 3, Line 8) and ATEUC's candidate construction.
     */
-  def greedySequence(n: Int, sets: IndexedSeq[Array[Int]],
+  def greedySequence(n: Int, sets: collection.IndexedSeq[Array[Int]],
                      maxPicks: Int): Seq[(Int, Int, Int)] = {
     val gains = counts(n, sets)
     // Inverted index node -> set ids, built once.
@@ -115,9 +102,16 @@ object Coverage {
     out.result()
   }
 
-  /** Greedy maximum coverage of up to b nodes: (seeds, #sets covered). */
-  def greedyCover(n: Int, sets: IndexedSeq[Array[Int]], b: Int): (Array[Int], Int) = {
-    val seq = greedySequence(n, sets, b)
-    (seq.map(_._1).toArray, if (seq.isEmpty) 0 else seq.last._3)
-  }
+  /** Greedy maximum coverage of up to b nodes: (seeds, #sets covered).
+    * Greedy's single pick is the argmax, so b = 1 skips the inverted index
+    * and the lazy queue that only later picks need.
+    */
+  def greedyCover(n: Int, sets: collection.IndexedSeq[Array[Int]], b: Int): (Array[Int], Int) =
+    if (b == 1) {
+      val (v, c) = topNode(counts(n, sets))
+      if (c > 0) (Array(v), c) else (Array.empty, 0)
+    } else {
+      val seq = greedySequence(n, sets, b)
+      (seq.map(_._1).toArray, if (seq.isEmpty) 0 else seq.last._3)
+    }
 }

@@ -116,8 +116,9 @@ object MRRSampler {
 }
 
 /** Per-round sampling context: fixes the residual mask, target and model so
-  * repeated doubling rounds share one broadcast. Tracks cumulative samples
-  * and work for the efficiency instrumentation.
+  * repeated doubling rounds share one broadcast. Owns the round's sample
+  * pool, which the selection loop grows by doubling, and tracks cumulative
+  * samples and work for the efficiency instrumentation.
   */
 final class MRRSamplerCtx(
     spark: SparkSession,
@@ -132,7 +133,18 @@ final class MRRSamplerCtx(
   var totalSamples: Long = 0L
   var totalWork: Long = 0L
 
+  private val sets = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
+
   def nI: Int = inactiveNodes.length
+
+  /** The sets drawn by `growTo` so far; set i has stream index i. */
+  def pool: collection.IndexedSeq[Array[Int]] = sets
+
+  /** Extend the pool with the next stream indices until it holds `upTo` sets. */
+  def growTo(upTo: Long): Unit = {
+    val need = (upTo - sets.length).toInt
+    if (need > 0) sets ++= generate(sets.length, need)
+  }
 
   /** Generate `count` sets with stream indices [from, from+count). */
   def generate(from: Long, count: Int): IndexedSeq[Array[Int]] = {

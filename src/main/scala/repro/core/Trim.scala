@@ -12,16 +12,31 @@ final case class SelectResult(
     iterations: Int
 )
 
-/** TRIM — TRuncated Influence Maximization (Algorithm 2).
+/** TRIM — TRuncated Influence Maximization (Algorithm 2) and its batched
+  * form TRIM-B (Algorithm 3).
   *
-  * OPIM-C-style single-group design: start from θ_o mRR-sets, pick the node
-  * v* with maximum coverage, bound its expected coverage from below (Λˡ, via
-  * the martingale bound of Lemma A.2) and the optimum's from above (Λᵘ), and
-  * stop when Λˡ(v*)/Λᵘ(v°) ≥ 1−ε̂, doubling the sample pool otherwise. At
-  * most T iterations; the T-th returns unconditionally (the θ_max budget of
-  * Line 2 then guarantees the bound by [40]).
+  * OPIM-C-style single-group design: start from θ_o mRR-sets, pick a batch
+  * of b nodes by greedy maximum coverage (guarantee ρ_b = 1 − (1 − 1/b)^b),
+  * bound its expected coverage from below (Λˡ, via the martingale bound of
+  * Lemma A.2) and the optimum's from above (Λᵘ of the coverage over ρ_b), and
+  * stop when Λˡ/Λᵘ ≥ ρ_b(1−ε̂), doubling the sample pool otherwise. At most T
+  * iterations; the T-th returns unconditionally (the θ_max budget of Line 2
+  * then guarantees the bound by [40]). With b = 1, ρ_1 = 1 and ln C(n_i, 1) =
+  * ln n_i, so the schedule and stop rule are Algorithm 2's exactly.
   */
 object Trim {
+
+  /** ρ_b = 1 − (1 − 1/b)^b. */
+  def rho(b: Int): Double = 1.0 - math.pow(1.0 - 1.0 / b, b)
+
+  /** ln C(n, b) without overflow: Σ_{i=1..b} ln((n−b+i)/i). */
+  def lnChoose(n: Int, b: Int): Double = {
+    require(b >= 0 && b <= n, s"C($n, $b) undefined")
+    var s = 0.0
+    var i = 1
+    while (i <= b) { s += math.log((n - b + i).toDouble / i); i += 1 }
+    s
+  }
 
   /** Lemma A.2 lower bound on E[Λ] given observed coverage and confidence a. */
   def lamLower(cov: Double, a: Double): Double = {
@@ -56,42 +71,34 @@ object Trim {
     Schedule(delta, epsHat, thetaMax, thetaO, T, lnT + lnCandidates, lnT)
   }
 
-  /** Select one seed node from the residual graph behind `ctx`.
+  /** Select a batch of (up to) `b` seeds from the residual graph behind `ctx`.
     *
     * With a truncated-estimator context (randomized multi-roots) this is
-    * Algorithm 2 verbatim; with `vanillaRoots` and `target = n_i` it is the
-    * OPIM-C-style vanilla-spread selector used by the AdaptIM baseline.
+    * Algorithm 2 (b = 1) or Algorithm 3; with `vanillaRoots` the target is
+    * n_i instead of η_i, which is the OPIM-C-style vanilla-spread selector
+    * used by the AdaptIM baseline.
     */
-  def select(ctx: MRRSamplerCtx, eps: Double): SelectResult = {
+  def select(ctx: MRRSamplerCtx, eps: Double, b: Int): SelectResult = {
     val nI = ctx.nI
+    val bEff = math.min(b, nI)
+    val rhoB = rho(bEff)
     val target = if (ctx.vanillaRoots) nI else ctx.etaI
-    val sch = schedule(nI, target, eps, math.log(nI.toDouble))
-
-    val sets = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
-    var generated = 0L
-    def grow(upTo: Long): Unit = {
-      val need = (upTo - generated).toInt
-      if (need > 0) {
-        sets ++= ctx.generate(generated, need)
-        generated += need
-      }
-    }
-    grow(math.ceil(sch.thetaO).toLong)
+    val sch = schedule(nI, target, eps, lnChoose(nI, bEff), rhoB, bEff)
+    ctx.growTo(math.ceil(sch.thetaO).toLong)
 
     var t = 1
     while (true) {
-      // Count over the dense node-id space; active nodes never appear in a
-      // residual mRR-set, so their coverage stays 0.
-      val cov = Coverage.counts(ctx.inactive.length, sets)
-      val (vStar, c) = Coverage.topNode(cov, ctx.inactive)
-      val lamL = lamLower(c, sch.a1)
-      val lamU = lamUpper(c, sch.a2)
-      if ((lamU > 0 && lamL / lamU >= 1.0 - sch.epsHat) || t == sch.T) {
-        val est = target.toDouble * c / generated
-        return SelectResult(Array(vStar), est, ctx.totalSamples, ctx.totalWork, t)
+      // Cover over the dense node-id space; active nodes never appear in a
+      // residual mRR-set, so their coverage stays 0 and greedy never picks them.
+      val (batch, covered) = Coverage.greedyCover(ctx.inactive.length, ctx.pool, bEff)
+      val lamL = lamLower(covered, sch.a1)
+      val lamU = lamUpper(covered / rhoB, sch.a2)
+      if ((lamU > 0 && lamL / lamU >= rhoB * (1.0 - sch.epsHat)) || t == sch.T) {
+        val est = target.toDouble * covered / ctx.pool.length
+        return SelectResult(batch, est, ctx.totalSamples, ctx.totalWork, t)
       }
       t += 1
-      grow(math.min(generated * 2, math.ceil(sch.thetaMax).toLong))
+      ctx.growTo(math.min(ctx.pool.length * 2L, math.ceil(sch.thetaMax).toLong))
     }
     throw new IllegalStateException("unreachable")
   }

@@ -73,8 +73,8 @@ final class Realization(val graph: CompactGraph, val model: DiffusionModel, val 
   def spread(seeds: Array[Int], eligible: Array[Boolean] = null): Int =
     forwardReachable(seeds, eligible).length
 
-  /** Materialized live edges as a DataFrame (src, dst) — used by the
-    * DataFrame-iterative BFS cross-checks and the oracle tests.
+  /** Materialized live edges as a DataFrame (src, dst) — the relation the
+    * DuckDB reachability oracle runs over.
     */
   def liveEdgesDF(spark: SparkSession): DataFrame = {
     import spark.implicits._

@@ -59,8 +59,8 @@ class AdaptImSpec extends AnyFunSuite with SparkSpec {
       new MRRSamplerCtx(spark, spark.sparkContext.broadcast(g), st.inactive,
                         st.inactiveNodes, st.etaI, IC, vanilla, 11L)
     }
-    val trunc = Trim.select(ctx(vanilla = false), 0.5)
-    val vanilla = Trim.select(ctx(vanilla = true), 0.5)
+    val trunc = Trim.select(ctx(vanilla = false), 0.5, b = 1)
+    val vanilla = Trim.select(ctx(vanilla = true), 0.5, b = 1)
     assert(vanilla.samples > 3 * trunc.samples,
            s"vanilla=${vanilla.samples} trunc=${trunc.samples}")
   }

@@ -33,24 +33,19 @@ class CoverageSpec extends AnyFunSuite with SparkSpec {
       Coverage.topNode(Array(1, 2), Array(false, false)))
   }
 
-  test("countsRDD matches driver counts") {
-    assert(Coverage.countsRDD(spark, 5, sets).toSeq == Coverage.counts(5, sets).toSeq)
-  }
-
-  test("countsRDD on a larger random instance matches") {
+  test("coverage counting agrees with the DuckDB oracle over the exploded relation") {
     val rnd = new scala.util.Random(1)
     val big = IndexedSeq.fill(500)(Array.fill(rnd.nextInt(10) + 1)(rnd.nextInt(50)).distinct)
-    assert(Coverage.countsRDD(spark, 50, big).toSeq == Coverage.counts(50, big).toSeq)
-  }
-
-  test("coverage counting agrees with the DuckDB oracle over the exploded relation") {
-    val df = Coverage.setsDF(spark, sets)
-    val sparkCounts = df.groupBy("node").count()
-      .selectExpr("cast(node as int) as node", "cast(count as long) as cnt")
-    Oracle.assertEquivalent(
-      sparkCounts,
-      "SELECT CAST(node AS INT) AS node, count(*) AS cnt FROM sets GROUP BY 1",
-      "sets" -> df)
+    import spark.implicits._
+    for ((n, ss) <- Seq(5 -> sets, 50 -> big)) {
+      val driverCounts = Coverage.counts(n, ss).toSeq.zipWithIndex
+        .collect { case (cnt, v) if cnt > 0 => (v, cnt.toLong) }
+        .toDF("node", "cnt")
+      Oracle.assertEquivalent(
+        driverCounts,
+        "SELECT CAST(node AS INT) AS node, count(*) AS cnt FROM sets GROUP BY 1",
+        "sets" -> Coverage.setsDF(spark, ss))
+    }
   }
 
   test("coveredBy counts sets intersecting the seed set") {
@@ -90,6 +85,9 @@ class CoverageSpec extends AnyFunSuite with SparkSpec {
       val slow = naiveGreedy(12, ss, 12)
       // Identical tie-breaking (gain desc, node id asc) → exact sequence match.
       assert(fast == slow, s"trial $trial: $fast vs $slow")
+      // b = 1 takes the argmax shortcut; it must be greedy's first pick.
+      val (one, covered) = Coverage.greedyCover(12, ss, 1)
+      assert(one.toSeq == slow.take(1).map(_._1) && covered == slow.head._3, s"trial $trial")
     }
   }
 

@@ -44,13 +44,13 @@ class ScheduleMathSpec extends AnyFunSuite {
   }
 
   test("batched schedule: larger b reduces θ_max (Line 2 of Algorithm 3)") {
-    val b1 = Trim.schedule(1000, 100, 0.5, TrimB.lnChoose(1000, 1), TrimB.rho(1), 1)
-    val b8 = Trim.schedule(1000, 100, 0.5, TrimB.lnChoose(1000, 8), TrimB.rho(8), 8)
+    val b1 = Trim.schedule(1000, 100, 0.5, Trim.lnChoose(1000, 1), Trim.rho(1), 1)
+    val b8 = Trim.schedule(1000, 100, 0.5, Trim.lnChoose(1000, 8), Trim.rho(8), 8)
     assert(b8.thetaMax < b1.thetaMax)
   }
 
   test("batched schedule: a1 uses ln C(n, b) candidates") {
-    val sch = Trim.schedule(50, 10, 0.5, TrimB.lnChoose(50, 3), TrimB.rho(3), 3)
+    val sch = Trim.schedule(50, 10, 0.5, Trim.lnChoose(50, 3), Trim.rho(3), 3)
     val single = Trim.schedule(50, 10, 0.5, math.log(50.0))
     assert(sch.a1 > single.a1) // ln C(50,3) > ln 50
   }
@@ -66,13 +66,13 @@ class ScheduleMathSpec extends AnyFunSuite {
 
   test("rho is within (1 − 1/e, 1] for all b ≥ 1") {
     (1 to 64).foreach { b =>
-      val r = TrimB.rho(b)
+      val r = Trim.rho(b)
       assert(r > 1.0 - 1.0 / math.E && r <= 1.0, s"b=$b r=$r")
     }
   }
 
   test("lnChoose symmetry C(n,b) = C(n,n−b)") {
     for (n <- Seq(5, 9, 14); b <- 0 to n)
-      assert(math.abs(TrimB.lnChoose(n, b) - TrimB.lnChoose(n, n - b)) < 1e-9)
+      assert(math.abs(Trim.lnChoose(n, b) - Trim.lnChoose(n, n - b)) < 1e-9)
   }
 }

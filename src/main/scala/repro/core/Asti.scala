@@ -52,9 +52,11 @@ object Asti {
 
   def run(spark: SparkSession, g: CompactGraph, eta: Int, eps: Double,
           selector: Selector, model: DiffusionModel, realizationSeed: Long,
-          algoSeed: Long = 7): AstiResult =
-    run(spark, spark.sparkContext.broadcast(g), eta, eps, selector, model,
-        realizationSeed, algoSeed)
+          algoSeed: Long = 7): AstiResult = {
+    val bg = spark.sparkContext.broadcast(g)
+    try run(spark, bg, eta, eps, selector, model, realizationSeed, algoSeed)
+    finally bg.destroy()
+  }
 
   /** Variant taking a pre-broadcast graph so experiment grids reuse it. */
   def run(spark: SparkSession, bg: Broadcast[CompactGraph], eta: Int, eps: Double,

@@ -18,10 +18,4 @@ object DiffusionModel {
   case object LT extends DiffusionModel { val name = "LT" }
 
   val all: Seq[DiffusionModel] = Seq(IC, LT)
-
-  def byName(s: String): DiffusionModel = s.toUpperCase match {
-    case "IC" => IC
-    case "LT" => LT
-    case other => throw new IllegalArgumentException(s"unknown model '$other'")
-  }
 }

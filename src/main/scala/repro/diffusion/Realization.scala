@@ -48,26 +48,8 @@ final class Realization(val graph: CompactGraph, val model: DiffusionModel, val 
     * are not eligible are skipped. This is exactly the set of nodes a batch
     * activates in the residual graph (§2.3).
     */
-  def forwardReachable(seeds: Array[Int], eligible: Array[Boolean]): Array[Int] = {
-    val visited = new Array[Boolean](graph.n)
-    val queue = new java.util.ArrayDeque[Integer]()
-    val out = Array.newBuilder[Int]
-    seeds.foreach { s =>
-      if (!visited(s) && (eligible == null || eligible(s))) {
-        visited(s) = true; queue.add(s); out += s
-      }
-    }
-    while (!queue.isEmpty) {
-      val u = queue.poll().intValue()
-      graph.foreachOutEdge(u) { e =>
-        val v = graph.dsts(e)
-        if (!visited(v) && (eligible == null || eligible(v)) && liveInto(e)) {
-          visited(v) = true; queue.add(v); out += v
-        }
-      }
-    }
-    out.result()
-  }
+  def forwardReachable(seeds: Array[Int], eligible: Array[Boolean]): Array[Int] =
+    Realization.reachable(graph, seeds, eligible, liveInto)
 
   /** Spread I_φ(S) (optionally restricted to a residual node set). */
   def spread(seeds: Array[Int], eligible: Array[Boolean] = null): Int =
@@ -82,5 +64,34 @@ final class Realization(val graph: CompactGraph, val model: DiffusionModel, val 
       .filter(liveInto)
       .map(e => (graph.srcs(e), graph.dsts(e)))
       .toDF("src", "dst")
+  }
+}
+
+object Realization {
+
+  /** Nodes reachable from `seeds` in `g` through edges where `live` holds,
+    * restricted to nodes where `eligible` holds (pass null for no
+    * restriction), in BFS order. Seeds that are not eligible are skipped.
+    */
+  def reachable(g: CompactGraph, seeds: Array[Int], eligible: Array[Boolean],
+                live: Int => Boolean): Array[Int] = {
+    val visited = new Array[Boolean](g.n)
+    val queue = new java.util.ArrayDeque[Integer]()
+    val out = Array.newBuilder[Int]
+    seeds.foreach { s =>
+      if (!visited(s) && (eligible == null || eligible(s))) {
+        visited(s) = true; queue.add(s); out += s
+      }
+    }
+    while (!queue.isEmpty) {
+      val u = queue.poll().intValue()
+      g.foreachOutEdge(u) { e =>
+        val v = g.dsts(e)
+        if (!visited(v) && (eligible == null || eligible(v)) && live(e)) {
+          visited(v) = true; queue.add(v); out += v
+        }
+      }
+    }
+    out.result()
   }
 }

@@ -1,35 +1,16 @@
 package repro.diffusion
 
-import org.apache.spark.sql.SparkSession
 import repro.graph.CompactGraph
 
 /** Influence spread computation: exact enumeration over the realization space
   * (tiny graphs, used to validate estimators against ground truth), and
-  * Monte-Carlo estimation (driver or RDD-distributed).
+  * Monte-Carlo estimation on the driver.
   *
   * Exact enumeration covers both models: IC iterates edge-status bitmasks
   * (2^m realizations, §2.1), LT iterates live-edge choice vectors
   * (∏_v (indeg(v)+1) realizations).
   */
 object Spread {
-
-  /** Reachable-set size from S given a live-edge predicate. */
-  private def reach(g: CompactGraph, seeds: Array[Int], liveInto: Int => Boolean): Int = {
-    val visited = new Array[Boolean](g.n)
-    val queue = new java.util.ArrayDeque[Integer]()
-    var count = 0
-    seeds.foreach { s =>
-      if (!visited(s)) { visited(s) = true; queue.add(s); count += 1 }
-    }
-    while (!queue.isEmpty) {
-      val u = queue.poll().intValue()
-      g.foreachOutEdge(u) { e =>
-        val v = g.dsts(e)
-        if (!visited(v) && liveInto(e)) { visited(v) = true; queue.add(v); count += 1 }
-      }
-    }
-    count
-  }
 
   /** Full spread distribution of seed set S: pairs (probability, I_φ(S)),
     * one per realization (not grouped). Guarded to small graphs.
@@ -45,7 +26,7 @@ object Spread {
           prob *= (if ((mask & (1 << e)) != 0) g.probs(e) else 1.0 - g.probs(e))
           e += 1
         }
-        (prob, reach(g, seeds, e => (mask & (1 << e)) != 0))
+        (prob, Realization.reachable(g, seeds, null, e => (mask & (1 << e)) != 0).length)
       }.filter(_._1 > 0.0)
     case DiffusionModel.LT =>
       // Mixed-radix counter over per-node choices: 0..indeg-1 = that in-edge,
@@ -72,7 +53,10 @@ object Spread {
           }
           v += 1
         }
-        if (prob > 0.0) results += ((prob, reach(g, seeds, e => chosenEdge(g.dsts(e)) == e)))
+        if (prob > 0.0) {
+          val x = Realization.reachable(g, seeds, null, e => chosenEdge(g.dsts(e)) == e).length
+          results += ((prob, x))
+        }
         // increment mixed-radix counter
         var d = 0
         var carry = true
@@ -134,31 +118,5 @@ object Spread {
       t += 1
     }
     sum / trials
-  }
-
-  /** RDD-distributed Monte-Carlo E[I(S)]: trials fan out over the cluster,
-    * each evaluating a seeded realization against the broadcast graph.
-    */
-  def mcSpread(spark: SparkSession, g: CompactGraph, seeds: Array[Int],
-               model: DiffusionModel, trials: Int, seed0: Long): Double = {
-    val sc = spark.sparkContext
-    val bg = sc.broadcast(g)
-    val total = sc
-      .range(0, trials)
-      .map(t => new Realization(bg.value, model, seed0 + t).spread(seeds).toLong)
-      .sum()
-    total / trials
-  }
-
-  /** RDD-distributed Monte-Carlo E[Γ(S)] = E[min(I(S), η)]. */
-  def mcTruncated(spark: SparkSession, g: CompactGraph, seeds: Array[Int], eta: Int,
-                  model: DiffusionModel, trials: Int, seed0: Long): Double = {
-    val sc = spark.sparkContext
-    val bg = sc.broadcast(g)
-    val total = sc
-      .range(0, trials)
-      .map(t => math.min(new Realization(bg.value, model, seed0 + t).spread(seeds), eta).toLong)
-      .sum()
-    total / trials
   }
 }

@@ -101,21 +101,23 @@ object Table3 {
               model: DiffusionModel, etaFrac: Double, realizations: Int,
               eps: Double, seed: Long): Cell = {
     val bg = spark.sparkContext.broadcast(g)
-    val eta = math.max(1, (g.n * etaFrac).toInt)
-    val ateuc = Ateuc.select(spark, bg, eta, model, Rng.state(seed, 1L))
-    var feasible = 0
-    var astiSeedSum = 0.0
-    (0 until realizations).foreach { r =>
-      val realSeed = Rng.state(seed, 1000L + r)
-      val asti = Asti.run(spark, bg, eta, eps, TrimSelector, model, realSeed, Rng.state(seed, 2000L + r))
-      require(asti.finalSpread >= eta,
-        s"ASTI must always reach η; got ${asti.finalSpread} < $eta")
-      astiSeedSum += asti.numSeeds
-      val spread = new Realization(g, model, realSeed).spread(ateuc.seeds)
-      if (spread >= eta) feasible += 1
-    }
-    Cell(dataset, model, etaFrac, eta, astiSeedSum / realizations,
-         ateuc.numSeeds, feasible, realizations)
+    try {
+      val eta = math.max(1, (g.n * etaFrac).toInt)
+      val ateuc = Ateuc.select(spark, bg, eta, model, Rng.state(seed, 1L))
+      var feasible = 0
+      var astiSeedSum = 0.0
+      (0 until realizations).foreach { r =>
+        val realSeed = Rng.state(seed, 1000L + r)
+        val asti = Asti.run(spark, bg, eta, eps, TrimSelector, model, realSeed, Rng.state(seed, 2000L + r))
+        require(asti.finalSpread >= eta,
+          s"ASTI must always reach η; got ${asti.finalSpread} < $eta")
+        astiSeedSum += asti.numSeeds
+        val spread = new Realization(g, model, realSeed).spread(ateuc.seeds)
+        if (spread >= eta) feasible += 1
+      }
+      Cell(dataset, model, etaFrac, eta, astiSeedSum / realizations,
+           ateuc.numSeeds, feasible, realizations)
+    } finally bg.destroy()
   }
 
   def run(spark: SparkSession, datasets: Seq[String] = GraphGen.datasets.map(_.name),
@@ -162,29 +164,31 @@ object AlgoComparison {
           seed: Long = 99L): Seq[Row] = {
     val g = GraphGen.dataset(spark, dataset, scale, ExpConfig.graphSeed)
     val bg = spark.sparkContext.broadcast(g)
-    val eta = math.max(1, (g.n * etaFrac).toInt)
-    val adaptive: Seq[Selector] =
-      Seq(TrimSelector, TrimBSelector(2), TrimBSelector(4), TrimBSelector(8), AdaptImSelector)
-    val rows = adaptive.map { sel =>
-      var seeds = 0.0; var samples = 0.0; var work = 0.0; var millis = 0.0; var feas = 0
-      (0 until realizations).foreach { r =>
-        val res = Asti.run(spark, bg, eta, eps, sel, model,
-                           Rng.state(seed, 10L + r), Rng.state(seed, 20L + r))
-        seeds += res.numSeeds; samples += res.samples; work += res.work
-        millis += res.wallMillis
-        if (res.finalSpread >= eta) feas += 1
+    try {
+      val eta = math.max(1, (g.n * etaFrac).toInt)
+      val adaptive: Seq[Selector] =
+        Seq(TrimSelector, TrimBSelector(2), TrimBSelector(4), TrimBSelector(8), AdaptImSelector)
+      val rows = adaptive.map { sel =>
+        var seeds = 0.0; var samples = 0.0; var work = 0.0; var millis = 0.0; var feas = 0
+        (0 until realizations).foreach { r =>
+          val res = Asti.run(spark, bg, eta, eps, sel, model,
+                             Rng.state(seed, 10L + r), Rng.state(seed, 20L + r))
+          seeds += res.numSeeds; samples += res.samples; work += res.work
+          millis += res.wallMillis
+          if (res.finalSpread >= eta) feas += 1
+        }
+        Row(sel.name, seeds / realizations, samples / realizations,
+            work / realizations, millis / realizations, feas, realizations)
       }
-      Row(sel.name, seeds / realizations, samples / realizations,
-          work / realizations, millis / realizations, feas, realizations)
-    }
-    val t0 = System.nanoTime()
-    val ateuc = Ateuc.select(spark, bg, eta, model, Rng.state(seed, 30L))
-    val ateucMs = (System.nanoTime() - t0) / 1e6
-    val feasible = (0 until realizations).count { r =>
-      new Realization(g, model, Rng.state(seed, 10L + r)).spread(ateuc.seeds) >= eta
-    }
-    rows :+ Row("ATEUC", ateuc.numSeeds.toDouble, ateuc.samples.toDouble,
-                ateuc.work.toDouble, ateucMs, feasible, realizations)
+      val t0 = System.nanoTime()
+      val ateuc = Ateuc.select(spark, bg, eta, model, Rng.state(seed, 30L))
+      val ateucMs = (System.nanoTime() - t0) / 1e6
+      val feasible = (0 until realizations).count { r =>
+        new Realization(g, model, Rng.state(seed, 10L + r)).spread(ateuc.seeds) >= eta
+      }
+      rows :+ Row("ATEUC", ateuc.numSeeds.toDouble, ateuc.samples.toDouble,
+                  ateuc.work.toDouble, ateucMs, feasible, realizations)
+    } finally bg.destroy()
   }
 
   def format(dataset: String, model: DiffusionModel, etaFrac: Double,

@@ -1,15 +1,14 @@
 package repro.graph
 
 import org.apache.spark.graphx.{Edge, Graph => XGraph}
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 
 /** Graph statistics backing Table 2: node/edge counts, average degree, and
   * the size of the largest weakly connected component (LWCC).
   *
-  * Degrees are computed relationally (DataFrame aggregation; oracle-checked in
-  * tests); the LWCC uses GraphX `connectedComponents` on the undirected view,
-  * per the repro hint's GraphX mandate.
+  * Average degree is m/n from the CSR counts; the LWCC uses GraphX
+  * `connectedComponents` on the undirected view, cross-checked against a
+  * driver union-find.
   */
 object GraphStats {
 
@@ -21,19 +20,6 @@ object GraphStats {
     * counts each undirected edge twice already, matching the paper.
     */
   def avgDegree(g: CompactGraph): Double = g.m.toDouble / g.n
-
-  /** Out-degree / in-degree per node as a DataFrame (node, outDeg, inDeg). */
-  def degreesDF(spark: SparkSession, g: CompactGraph): DataFrame = {
-    val edges = g.edgesDF(spark)
-    import spark.implicits._
-    val nodes = spark.range(g.n).select($"id".cast("int") as "node")
-    val outD = edges.groupBy($"src" as "node").agg(count(lit(1)) as "outDeg")
-    val inD = edges.groupBy($"dst" as "node").agg(count(lit(1)) as "inDeg")
-    nodes
-      .join(outD, Seq("node"), "left")
-      .join(inD, Seq("node"), "left")
-      .na.fill(0L, Seq("outDeg", "inDeg"))
-  }
 
   /** Size of the largest weakly connected component via GraphX. */
   def lwccSize(spark: SparkSession, g: CompactGraph): Long = {

@@ -27,12 +27,6 @@ object Rng {
   def uniform(seed: Long, i: Long): Double =
     (state(seed, i) >>> 11).toDouble / (1L << 53).toDouble
 
-  /** Uniform int in [0, bound) from `(seed, i)`; bound must be positive. */
-  def uniformInt(seed: Long, i: Long, bound: Int): Int = {
-    require(bound > 0, s"bound must be positive, got $bound")
-    (uniform(seed, i) * bound).toInt min (bound - 1)
-  }
-
   /** A cheap sequential PRNG seeded from `(seed, i)` for inner loops that
     * need many draws (reverse BFS edge coins). xorshift64* over a splitmix
     * state; never yields state 0.

@@ -37,7 +37,7 @@ class AteucSpec extends AnyFunSuite with SparkSpec {
     val g = GraphGen.dataset(spark, "nethept", scale = 0.1)
     val eta = g.n / 10
     val res = Ateuc.select(spark, spark.sparkContext.broadcast(g), eta, IC, 4L)
-    val mc = Spread.mcSpread(spark, g, res.seeds, IC, 3000, 99L)
+    val mc = Spread.mcSpreadLocal(g, res.seeds, IC, 3000, 99L)
     // ATEUC targets E[I(S)] ≥ η via a sampled estimate; allow estimator noise.
     assert(mc >= eta * 0.8, s"mc=$mc eta=$eta")
   }
@@ -70,7 +70,7 @@ class AteucSpec extends AnyFunSuite with SparkSpec {
     val eta = 20
     val res = Ateuc.select(spark, spark.sparkContext.broadcast(g), eta, LT, 8L)
     assert(res.numSeeds >= 1)
-    val mc = Spread.mcSpread(spark, g, res.seeds, LT, 3000, 100L)
+    val mc = Spread.mcSpreadLocal(g, res.seeds, LT, 3000, 100L)
     assert(mc >= eta * 0.8, s"mc=$mc")
   }
 

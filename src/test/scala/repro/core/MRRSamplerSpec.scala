@@ -118,6 +118,21 @@ class MRRSamplerSpec extends AnyFunSuite with SparkSpec {
     val dist = freshCtx(g, 20, IC, seed = 11L).generateSpark(0, 64)
     assert(local.size == dist.size)
     local.zip(dist).foreach { case (a, b) => assert(a.toSeq == b.toSeq) }
+
+    // `generate` draws on the driver at every batch size, the probe's
+    // threshold included, and launches no Spark job. Single-root sets, as
+    // AdaptIM draws them, keep the batch cheap.
+    val count = MRRSampler.SparkBatchThreshold
+    val expected = freshCtx(g, 20, IC, vanilla = true, seed = 11L).generateLocal(0, count)
+    val sc = spark.sparkContext
+    val group = "MRRSamplerSpec.generate"
+    sc.setJobGroup(group, "generate at SparkBatchThreshold")
+    val drawn =
+      try freshCtx(g, 20, IC, vanilla = true, seed = 11L).generate(0, count)
+      finally sc.clearJobGroup()
+    assert(sc.statusTracker.getJobIdsForGroup(group).isEmpty)
+    assert(drawn.size == count)
+    drawn.zip(expected).foreach { case (a, b) => assert(a.toSeq == b.toSeq) }
   }
 
   test("ctx accounting: totalSamples and totalWork accumulate") {

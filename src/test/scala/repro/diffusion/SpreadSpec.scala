@@ -1,10 +1,9 @@
 package repro.diffusion
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
 import repro.graph.{CompactGraph, GraphGen}
 
-class SpreadSpec extends AnyFunSuite with SparkSpec {
+class SpreadSpec extends AnyFunSuite {
 
   import DiffusionModel.{IC, LT}
 
@@ -124,23 +123,6 @@ class SpreadSpec extends AnyFunSuite with SparkSpec {
   test("mcSpreadLocal converges to the exact expectation") {
     val est = Spread.mcSpreadLocal(fig2, Array(0), IC, 20000, 1L)
     assert(math.abs(est - 2.75) < 0.05, s"est=$est")
-  }
-
-  test("mcSpread (RDD) converges to the exact expectation") {
-    val est = Spread.mcSpread(spark, fig2, Array(0), IC, 20000, 2L)
-    assert(math.abs(est - 2.75) < 0.05, s"est=$est")
-  }
-
-  test("mcTruncated (RDD) converges to the exact truncated expectation") {
-    val est = Spread.mcTruncated(spark, fig2, Array(0), 2, IC, 20000, 3L)
-    assert(math.abs(est - 1.75) < 0.05, s"est=$est")
-  }
-
-  test("mcSpread agrees with mcSpreadLocal given identical seeds") {
-    val g = GraphGen.star(10, 0.4)
-    val local = Spread.mcSpreadLocal(g, Array(0), IC, 500, 7L)
-    val dist = Spread.mcSpread(spark, g, Array(0), IC, 500, 7L)
-    assert(math.abs(local - dist) < 1e-9)
   }
 
   test("LT Monte-Carlo matches LT enumeration") {

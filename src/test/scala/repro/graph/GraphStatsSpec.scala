@@ -1,42 +1,13 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{Oracle, SparkSpec}
+import repro.SparkSpec
 
 class GraphStatsSpec extends AnyFunSuite with SparkSpec {
 
   test("avgDegree is m/n") {
     assert(GraphStats.avgDegree(GraphGen.fig2) == 1.0)
     assert(GraphStats.avgDegree(GraphGen.star(5, 0.5)) == 0.8)
-  }
-
-  test("degreesDF matches CSR degrees") {
-    val g = GraphGen.fig2
-    val byNode = GraphStats.degreesDF(spark, g).collect()
-      .map(r => r.getInt(0) -> (r.getLong(1), r.getLong(2))).toMap
-    (0 until g.n).foreach { v =>
-      assert(byNode(v) == (g.outDeg(v).toLong, g.inDeg(v).toLong), s"node $v")
-    }
-  }
-
-  test("degreesDF agrees with DuckDB oracle") {
-    val g = CompactGraph.fromDF(
-      GraphGen.powerLawEdges(spark, 60, 150, 2.3, 11L, undirected = false), 60)
-    val edges = g.edgesDF(spark)
-    import spark.implicits._
-    val nodes = spark.range(g.n).selectExpr("cast(id as int) as node")
-    val sparkOut = GraphStats.degreesDF(spark, g)
-      .selectExpr("node", "cast(outDeg as long) as outdeg", "cast(inDeg as long) as indeg")
-    Oracle.assertEquivalent(
-      sparkOut,
-      """SELECT n.node AS node,
-        |       coalesce(o.c, 0) AS outdeg,
-        |       coalesce(i.c, 0) AS indeg
-        |FROM nodes n
-        |LEFT JOIN (SELECT CAST(src AS INT) s, count(*) c FROM edges GROUP BY 1) o ON o.s = n.node
-        |LEFT JOIN (SELECT CAST(dst AS INT) s, count(*) c FROM edges GROUP BY 1) i ON i.s = n.node
-        |""".stripMargin,
-      "edges" -> edges, "nodes" -> nodes)
   }
 
   test("LWCC of a connected line graph is n") {

@@ -14,11 +14,6 @@ object RngProps extends Properties("Rng") {
     Rng.uniform(seed, i) == Rng.uniform(seed, i)
   }
 
-  property("uniformInt within bound") = Prop.forAll { (seed: Long, i: Long) =>
-    val v = Rng.uniformInt(seed, i, 101)
-    v >= 0 && v < 101
-  }
-
   property("stream reproducible") = Prop.forAll { (seed: Long, i: Long) =>
     val a = new Rng.Stream(seed, i)
     val b = new Rng.Stream(seed, i)

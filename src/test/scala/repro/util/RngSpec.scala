@@ -43,22 +43,6 @@ class RngSpec extends AnyFunSuite {
     counts.foreach(c => assert(math.abs(c - 5000) < 400, counts.mkString(",")))
   }
 
-  test("uniformInt respects bounds") {
-    for (s <- seeds; i <- 0L to 100L) {
-      val v = Rng.uniformInt(s, i, 17)
-      assert(v >= 0 && v < 17)
-    }
-  }
-
-  test("uniformInt rejects non-positive bound") {
-    intercept[IllegalArgumentException](Rng.uniformInt(1L, 1L, 0))
-  }
-
-  test("uniformInt covers all values") {
-    val seen = (0 until 1000).map(i => Rng.uniformInt(9L, i.toLong, 7)).toSet
-    assert(seen == (0 until 7).toSet)
-  }
-
   test("Stream is deterministic in (seed, i)") {
     val a = new Rng.Stream(3L, 4L)
     val b = new Rng.Stream(3L, 4L)

@@ -2,7 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.experiments.{ExpConfig, Table3}
+import repro.experiments.Table3
 
 /** Reproduces Table 3: improvement ratio of ASTI over ATEUC in the number of
   * seed nodes, per threshold fraction, under IC and LT. N/A marks cells where
@@ -16,12 +16,7 @@ class Table3Bench extends AnyFunSuite with SparkSpec {
 
   test("Table 3: ASTI vs ATEUC improvement ratio grid") {
     val cells = Table3.run(spark)
-    println(s"\n=== Table 3 (scale=${ExpConfig.scale}, R=${ExpConfig.realizations}, ε=${ExpConfig.eps}) ===")
-    println(Table3.format(cells))
-    println("--- paper values (η/n grid per row) ---")
-    Table3.paper.foreach { case (model, ds, vals) =>
-      println(f"$model%-3s $ds%-12s ${vals.mkString("  ")}")
-    }
+    println("\n" + Table3.report(cells))
 
     // Core claims of the table, asserted as shape:
     // (1) ASTI reaches η on every realization (enforced inside runCell).

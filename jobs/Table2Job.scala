@@ -1,23 +1,17 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.experiments.{ExpConfig, Table2}
+import repro.experiments.Table2
 
 /** spark-submit entrypoint reproducing Table 2 (dataset statistics).
   *
-  * Usage: spark-submit --class repro.jobs.Table2Job repro.jar [scale]
+  * Usage: spark-submit --class repro.jobs.Table2Job repro.jar
+  * Scale via REPRO_SCALE.
   */
 object Table2Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("table2").getOrCreate()
-    val scale = args.headOption.map(_.toDouble).getOrElse(ExpConfig.scale)
-    val rows = Table2.run(spark, scale)
-    println(s"=== Table 2 (scale=$scale) ===")
-    println(Table2.format(rows))
-    println("--- paper values (full-scale SNAP datasets) ---")
-    Table2.paper.foreach { case (n, nn, mm, t, d, l) =>
-      println(f"$n%-12s $nn%8s $mm%9s $t%-10s $d%7s $l%8s")
-    }
+    val spark = SparkSession.builder().appName("table2").getOrCreate()
+    println(Table2.report(Table2.run(spark)))
     spark.stop()
   }
 }

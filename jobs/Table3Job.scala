@@ -1,26 +1,19 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.experiments.{ExpConfig, Table3}
+import repro.experiments.Table3
 
 /** spark-submit entrypoint reproducing Table 3 (improvement ratio of ASTI
   * over ATEUC per threshold, IC & LT; N/A where ATEUC misses η on some
   * realization).
   *
-  * Usage: spark-submit --class repro.jobs.Table3Job repro.jar [realizations]
-  * Scale/eps via REPRO_SCALE / REPRO_EPS.
+  * Usage: spark-submit --class repro.jobs.Table3Job repro.jar
+  * Scale, realizations and ε via REPRO_SCALE / REPRO_REALIZATIONS / REPRO_EPS.
   */
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("table3").getOrCreate()
-    val realizations = args.headOption.map(_.toInt).getOrElse(ExpConfig.realizations)
-    val cells = Table3.run(spark, realizations = realizations)
-    println(s"=== Table 3 (scale=${ExpConfig.scale}, R=$realizations, ε=${ExpConfig.eps}) ===")
-    println(Table3.format(cells))
-    println("--- paper values ---")
-    Table3.paper.foreach { case (model, ds, vals) =>
-      println(f"$model%-3s $ds%-12s ${vals.mkString("  ")}")
-    }
+    val spark = SparkSession.builder().appName("table3").getOrCreate()
+    println(Table3.report(Table3.run(spark)))
     spark.stop()
   }
 }

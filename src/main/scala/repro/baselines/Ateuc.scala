@@ -57,38 +57,36 @@ object Ateuc {
 
     var theta = InitialTheta.toLong
     var iter = 1
-    var fallback: Array[Int] = Array.empty
+    var seq: Seq[(Int, Int, Int)] = Nil
+    var plain = -1
+    // Prefix i + 1 of the greedy sequence, with the point estimate of its spread.
+    def result(i: Int, iterations: Int) =
+      AteucResult(seq.take(i + 1).map(_._1).toArray, n.toDouble * seq(i)._3 / ctx.pool.length,
+                  ctx.totalSamples, ctx.totalWork, iterations)
     while (iter <= MaxIterations) {
       ctx.growTo(theta)
       val generated = ctx.pool.length
-      val seq = Coverage.greedySequence(n, ctx.pool, n)
+      seq = Coverage.greedySequence(n, ctx.pool, n)
       var sL = -1
-      var sU: Array[Int] = null
-      var plain: Array[Int] = null
+      var sU = -1
+      plain = -1
       var i = 0
-      while (i < seq.length && sU == null) {
+      while (i < seq.length && sU < 0) {
         val c = seq(i)._3
         if (sL < 0 && n * Trim.lamUpper(c, a) / generated >= eta) sL = i + 1
-        if (plain == null && n.toDouble * c / generated >= eta)
-          plain = seq.take(i + 1).map(_._1).toArray
-        if (n * Trim.lamLower(c, a) / generated >= eta)
-          sU = seq.take(i + 1).map(_._1).toArray
+        if (plain < 0 && n.toDouble * c / generated >= eta) plain = i
+        if (n * Trim.lamLower(c, a) / generated >= eta) sU = i
         i += 1
       }
-      if (plain != null) fallback = plain
-      if (sU != null && sL > 0 && sU.length <= 2 * sL)
-        return AteucResult(sU, estSpread(n, ctx.pool, sU),
-                           ctx.totalSamples, ctx.totalWork, iter)
+      if (sU >= 0 && sL > 0 && sU + 1 <= 2 * sL) return result(sU, iter)
       theta *= 2
       iter += 1
     }
-    // Budget exhausted: return the last estimate-feasible prefix (still a
-    // sensible non-adaptive answer; flagged by iterations == MaxIterations+1).
-    val finalSeeds = if (fallback.nonEmpty) fallback else Array.tabulate(n)(identity)
-    AteucResult(finalSeeds, estSpread(n, ctx.pool, finalSeeds),
-                ctx.totalSamples, ctx.totalWork, MaxIterations + 1)
+    // Budget exhausted: the last iteration's shortest prefix whose point
+    // estimate reaches η, flagged by iterations == MaxIterations + 1. Such a
+    // prefix always exists: every RR-set is non-empty, so greedy's last prefix
+    // covers all θ sets and estimates n ≥ η; and Λˡ(c) ≤ c, so it comes no
+    // later than S_u.
+    result(plain, MaxIterations + 1)
   }
-
-  private def estSpread(n: Int, sets: collection.IndexedSeq[Array[Int]], seeds: Array[Int]): Double =
-    n.toDouble * Coverage.coveredBy(sets, seeds) / sets.length
 }

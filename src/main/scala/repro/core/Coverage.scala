@@ -40,12 +40,6 @@ object Coverage {
       .toDF("setId", "node")
   }
 
-  /** Number of sets covered by seed set S (Λ_R(S)). */
-  def coveredBy(sets: Iterable[Array[Int]], seeds: Array[Int]): Int = {
-    val seedSet = seeds.toSet
-    sets.count(_.exists(seedSet.contains))
-  }
-
   /** Exact lazy greedy maximum coverage (CELF-style): yields picks in order,
     * each with its marginal gain and the cumulative number of covered sets.
     * Stops at `maxPicks` or when no node adds coverage. Shared by TRIM-B's

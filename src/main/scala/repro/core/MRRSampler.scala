@@ -120,10 +120,10 @@ object MRRSampler {
   }
 }
 
-/** Per-round sampling context: fixes the residual mask, target and model so
-  * repeated doubling rounds share one broadcast. Owns the round's sample
-  * pool, which the selection loop grows by doubling, and tracks cumulative
-  * samples and work for the efficiency instrumentation.
+/** Per-round sampling context: fixes the residual mask, target and model.
+  * Owns the round's sample pool, which the selection loop grows by
+  * doubling, and tracks cumulative samples and work for the efficiency
+  * instrumentation.
   *
   * The driver path reads only `bg.value`; `spark` and the broadcast itself
   * serve `generateSpark`, and the benchmark (`astibench/`) constructs the
@@ -186,15 +186,16 @@ final class MRRSamplerCtx(
     val (inactiveB, nodesB) = (sc.broadcast(inactive), sc.broadcast(inactiveNodes))
     val (etaI0, model0, vanilla0, seed0) = (etaI, model, vanillaRoots, seedBase)
     val g0 = bg
-    val results = sc
-      .range(from, from + count, numSlices = spark.sparkContext.defaultParallelism)
-      .map { idx =>
-        val (nodes, work) = MRRSampler.sampleOne(
-          g0.value, inactiveB.value, nodesB.value, etaI0, model0, vanilla0, seed0, idx)
-        (idx, nodes, work.toLong)
-      }
-      .collect()
-    inactiveB.destroy(); nodesB.destroy()
+    val results =
+      try sc
+        .range(from, from + count, numSlices = spark.sparkContext.defaultParallelism)
+        .map { idx =>
+          val (nodes, work) = MRRSampler.sampleOne(
+            g0.value, inactiveB.value, nodesB.value, etaI0, model0, vanilla0, seed0, idx)
+          (idx, nodes, work.toLong)
+        }
+        .collect()
+      finally { inactiveB.destroy(); nodesB.destroy() }
     totalWork += results.map(_._3).sum
     // Restore stream order so driver/spark paths are byte-identical.
     results.sortBy(_._1).map(_._2).toIndexedSeq

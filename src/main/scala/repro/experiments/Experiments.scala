@@ -44,12 +44,11 @@ object Table2 {
   def run(spark: SparkSession, scale: Double = ExpConfig.scale): Seq[Row] =
     GraphGen.datasets.map { spec =>
       val g = GraphGen.dataset(spark, spec.name, scale, ExpConfig.graphSeed)
-      val stats = GraphStats.compute(spark, g)
       // Paper's "Avg. deg." is 2m/n with m as listed in Table 2 (undirected
       // edges counted once). Our m counts arcs, i.e. undirected edges twice,
       // so: undirected → arcs/n, directed → 2·arcs/n.
-      val avgDeg = (if (spec.directed) 2.0 else 1.0) * stats.m / stats.n
-      Row(spec.name, stats.n, stats.m, spec.directed, avgDeg, stats.lwcc)
+      val avgDeg = (if (spec.directed) 2.0 else 1.0) * g.m / g.n
+      Row(spec.name, g.n, g.m, spec.directed, avgDeg, GraphStats.lwccSize(spark, g))
     }
 
   def format(rows: Seq[Row]): String = {
@@ -60,6 +59,13 @@ object Table2 {
     }
     (header +: lines).mkString("\n")
   }
+
+  /** What `Table2Job` and `Table2Bench` print: header, measured rows, paper rows. */
+  def report(rows: Seq[Row]): String =
+    (s"=== Table 2 (synthetic substitutes, scale=${ExpConfig.scale}) ===" +: format(rows) +:
+      "--- paper values (full-scale SNAP datasets) ---" +:
+      paper.map { case (n, nn, mm, t, d, l) => f"$n%-12s $nn%8s $mm%9s $t%-10s $d%7s $l%8s" })
+      .mkString("\n")
 }
 
 /** Table 3 — improvement ratio of ASTI over ATEUC in the number of seed
@@ -97,43 +103,30 @@ object Table3 {
     ("LT", "livejournal", Seq("N/A", "N/A", "N/A", "N/A", "N/A")),
   )
 
+  /** ASTI against ATEUC on one cell: `AlgoComparison.cell` with TRIM alone. */
   def runCell(spark: SparkSession, g: CompactGraph, dataset: String,
               model: DiffusionModel, etaFrac: Double, realizations: Int,
               eps: Double, seed: Long): Cell = {
-    val bg = spark.sparkContext.broadcast(g)
-    try {
-      val eta = math.max(1, (g.n * etaFrac).toInt)
-      val ateuc = Ateuc.select(spark, bg, eta, model, Rng.state(seed, 1L))
-      var feasible = 0
-      var astiSeedSum = 0.0
-      (0 until realizations).foreach { r =>
-        val realSeed = Rng.state(seed, 1000L + r)
-        val asti = Asti.run(spark, bg, eta, eps, TrimSelector, model, realSeed, Rng.state(seed, 2000L + r))
-        require(asti.finalSpread >= eta,
-          s"ASTI must always reach η; got ${asti.finalSpread} < $eta")
-        astiSeedSum += asti.numSeeds
-        val spread = new Realization(g, model, realSeed).spread(ateuc.seeds)
-        if (spread >= eta) feasible += 1
-      }
-      Cell(dataset, model, etaFrac, eta, astiSeedSum / realizations,
-           ateuc.numSeeds, feasible, realizations)
-    } finally bg.destroy()
+    val Seq(asti, ateuc) = AlgoComparison.cell(spark, g, model, etaFrac, Seq(TrimSelector), eps,
+      realSeeds = (0 until realizations).map(r => Rng.state(seed, 1000L + r)),
+      algoSeeds = (0 until realizations).map(r => Rng.state(seed, 2000L + r)),
+      ateucSeed = Rng.state(seed, 1L))
+    require(asti.feasible == realizations,
+      s"ASTI must always reach η; it did on ${asti.feasible} of $realizations realizations")
+    Cell(dataset, model, etaFrac, AlgoComparison.eta(g.n, etaFrac), asti.avgSeeds,
+         ateuc.avgSeeds.toInt, ateuc.feasible, realizations)
   }
 
-  def run(spark: SparkSession, datasets: Seq[String] = GraphGen.datasets.map(_.name),
-          models: Seq[DiffusionModel] = DiffusionModel.all,
-          realizations: Int = ExpConfig.realizations,
-          eps: Double = ExpConfig.eps,
-          scale: Double = ExpConfig.scale,
-          seed: Long = 1234L): Seq[Cell] =
+  /** The full grid at `ExpConfig`'s scale, realization count and ε. */
+  def run(spark: SparkSession): Seq[Cell] =
     for {
-      dataset <- datasets
-      g = GraphGen.dataset(spark, dataset, scale, ExpConfig.graphSeed)
-      model <- models
+      dataset <- GraphGen.datasets.map(_.name)
+      g = GraphGen.dataset(spark, dataset, ExpConfig.scale, ExpConfig.graphSeed)
+      model <- DiffusionModel.all
       frac <- ExpConfig.fracsFor(dataset)
     } yield {
-      val cell = runCell(spark, g, dataset, model, frac, realizations, eps,
-                         Rng.state(seed, (dataset + model.name + frac).hashCode.toLong))
+      val cell = runCell(spark, g, dataset, model, frac, ExpConfig.realizations, ExpConfig.eps,
+                         Rng.state(1234L, (dataset + model.name + frac).hashCode.toLong))
       Console.err.println(s"[Table3] ${format(Seq(cell))}")
       cell
     }
@@ -145,6 +138,13 @@ object Table3 {
       f"${c.model.name}%-3s ${c.dataset}%-12s η/n=${c.etaFrac}%-5s η=${c.eta}%-6d " +
         f"ASTI=${c.astiAvgSeeds}%8.2f ATEUC=${c.ateucSeeds}%5d improvement=$imp"
     }.mkString("\n")
+
+  /** What `Table3Job` and `Table3Bench` print: header, measured cells, paper grid. */
+  def report(cells: Seq[Cell]): String =
+    (s"=== Table 3 (scale=${ExpConfig.scale}, R=${ExpConfig.realizations}, ε=${ExpConfig.eps}) ===" +:
+      format(cells) +: "--- paper values (η/n grid per row) ---" +:
+      paper.map { case (model, ds, vals) => f"$model%-3s $ds%-12s ${vals.mkString("  ")}" })
+      .mkString("\n")
 }
 
 /** Supporting comparison (claims carried by Figures 4–8 that Table 3 relies
@@ -158,38 +158,49 @@ object AlgoComparison {
                        avgWork: Double, avgMillis: Double, feasible: Int,
                        realizations: Int)
 
+  /** The threshold of fraction `etaFrac` of n nodes, at least 1. */
+  def eta(n: Int, etaFrac: Double): Int = math.max(1, (n * etaFrac).toInt)
+
+  /** One evaluation cell, the loop Table 3 and this comparison share: ATEUC
+    * selects once, then each selector runs adaptively on every realization
+    * (realization r and its sampling streams seeded by `realSeeds(r)` and
+    * `algoSeeds(r)`), and ATEUC's seeds are re-simulated on the same
+    * realizations. Returns one row per selector, in order, then ATEUC's.
+    */
+  def cell(spark: SparkSession, g: CompactGraph, model: DiffusionModel, etaFrac: Double,
+           selectors: Seq[Selector], eps: Double, realSeeds: Seq[Long],
+           algoSeeds: Seq[Long], ateucSeed: Long): Seq[Row] = {
+    require(realSeeds.size == algoSeeds.size, "one algorithm seed per realization")
+    val e = eta(g.n, etaFrac)
+    val realizations = realSeeds.size
+    val bg = spark.sparkContext.broadcast(g)
+    try {
+      val t0 = System.nanoTime()
+      val ateuc = Ateuc.select(spark, bg, e, model, ateucSeed)
+      val ateucMs = (System.nanoTime() - t0) / 1e6
+      val adaptive = selectors.map { sel =>
+        val runs = realSeeds.zip(algoSeeds).map { case (realSeed, algoSeed) =>
+          Asti.run(spark, bg, e, eps, sel, model, realSeed, algoSeed)
+        }
+        def avg(f: AstiResult => Double): Double = runs.map(f).sum / realizations
+        Row(sel.name, avg(_.numSeeds), avg(_.samples.toDouble), avg(_.work.toDouble),
+            avg(_.wallMillis.toDouble), runs.count(_.finalSpread >= e), realizations)
+      }
+      val feasible = realSeeds.count(s => new Realization(g, model, s).spread(ateuc.seeds) >= e)
+      adaptive :+ Row("ATEUC", ateuc.numSeeds.toDouble, ateuc.samples.toDouble,
+                      ateuc.work.toDouble, ateucMs, feasible, realizations)
+    } finally bg.destroy()
+  }
+
   def run(spark: SparkSession, dataset: String, model: DiffusionModel,
           etaFrac: Double, realizations: Int = ExpConfig.realizations,
           eps: Double = ExpConfig.eps, scale: Double = ExpConfig.scale,
-          seed: Long = 99L): Seq[Row] = {
-    val g = GraphGen.dataset(spark, dataset, scale, ExpConfig.graphSeed)
-    val bg = spark.sparkContext.broadcast(g)
-    try {
-      val eta = math.max(1, (g.n * etaFrac).toInt)
-      val adaptive: Seq[Selector] =
-        Seq(TrimSelector, TrimBSelector(2), TrimBSelector(4), TrimBSelector(8), AdaptImSelector)
-      val rows = adaptive.map { sel =>
-        var seeds = 0.0; var samples = 0.0; var work = 0.0; var millis = 0.0; var feas = 0
-        (0 until realizations).foreach { r =>
-          val res = Asti.run(spark, bg, eta, eps, sel, model,
-                             Rng.state(seed, 10L + r), Rng.state(seed, 20L + r))
-          seeds += res.numSeeds; samples += res.samples; work += res.work
-          millis += res.wallMillis
-          if (res.finalSpread >= eta) feas += 1
-        }
-        Row(sel.name, seeds / realizations, samples / realizations,
-            work / realizations, millis / realizations, feas, realizations)
-      }
-      val t0 = System.nanoTime()
-      val ateuc = Ateuc.select(spark, bg, eta, model, Rng.state(seed, 30L))
-      val ateucMs = (System.nanoTime() - t0) / 1e6
-      val feasible = (0 until realizations).count { r =>
-        new Realization(g, model, Rng.state(seed, 10L + r)).spread(ateuc.seeds) >= eta
-      }
-      rows :+ Row("ATEUC", ateuc.numSeeds.toDouble, ateuc.samples.toDouble,
-                  ateuc.work.toDouble, ateucMs, feasible, realizations)
-    } finally bg.destroy()
-  }
+          seed: Long = 99L): Seq[Row] =
+    cell(spark, GraphGen.dataset(spark, dataset, scale, ExpConfig.graphSeed), model, etaFrac,
+      Seq(TrimSelector, TrimBSelector(2), TrimBSelector(4), TrimBSelector(8), AdaptImSelector), eps,
+      realSeeds = (0 until realizations).map(r => Rng.state(seed, 10L + r)),
+      algoSeeds = (0 until realizations).map(r => Rng.state(seed, 20L + r)),
+      ateucSeed = Rng.state(seed, 30L))
 
   def format(dataset: String, model: DiffusionModel, etaFrac: Double,
              rows: Seq[Row]): String = {

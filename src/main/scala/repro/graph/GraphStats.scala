@@ -3,23 +3,12 @@ package repro.graph
 import org.apache.spark.graphx.{Edge, Graph => XGraph}
 import org.apache.spark.sql.SparkSession
 
-/** Graph statistics backing Table 2: node/edge counts, average degree, and
-  * the size of the largest weakly connected component (LWCC).
-  *
-  * Average degree is m/n from the CSR counts; the LWCC uses GraphX
+/** The graph statistic of Table 2 that the CSR counts do not give: the size
+  * of the largest weakly connected component (LWCC), via GraphX
   * `connectedComponents` on the undirected view, cross-checked against a
   * driver union-find.
   */
 object GraphStats {
-
-  final case class Stats(n: Int, m: Int, avgDeg: Double, lwcc: Long)
-
-  /** Average total degree 2m/n for undirected-origin graphs stored as two
-    * directed arcs, m/n + m/n = total arcs per node either way; Table 2's
-    * "Avg. deg." column is total incident arcs per node, i.e. m_directed/n
-    * counts each undirected edge twice already, matching the paper.
-    */
-  def avgDegree(g: CompactGraph): Double = g.m.toDouble / g.n
 
   /** Size of the largest weakly connected component via GraphX. */
   def lwccSize(spark: SparkSession, g: CompactGraph): Long = {
@@ -57,7 +46,4 @@ object GraphStats {
     }
     best
   }
-
-  def compute(spark: SparkSession, g: CompactGraph): Stats =
-    Stats(g.n, g.m, avgDegree(g), lwccSize(spark, g))
 }

@@ -16,6 +16,16 @@ class AteucSpec extends AnyFunSuite with SparkSpec {
     assert(res.iterations <= Ateuc.MaxIterations)
   }
 
+  test("exhausted budget returns the point-estimate prefix, flagged") {
+    // Every RR-set holds the center, so the point estimate is exactly n = η
+    // while the lower confidence bound stays below it at every θ.
+    val g = GraphGen.star(4, 1.0)
+    val res = Ateuc.select(spark, spark.sparkContext.broadcast(g), eta = 4, IC, 11L)
+    assert(res.seeds.toSeq == Seq(0))
+    assert(res.estSpread == 4.0)
+    assert(res.iterations == Ateuc.MaxIterations + 1)
+  }
+
   test("deterministic two-clique: η well below the clique size needs one seed") {
     // η far enough below E[I(v)] = 8 that the lower-confidence bound
     // certifies a single seed at the initial sample size.

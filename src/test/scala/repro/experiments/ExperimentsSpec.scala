@@ -33,8 +33,13 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("Table2.format renders every dataset row") {
-    val out = Table2.format(Table2.run(spark, scale = 0.05))
-    Seq("nethept", "epinions", "youtube", "livejournal").foreach(n => assert(out.contains(n)))
+    val rows = Table2.run(spark, scale = 0.05)
+    val out = Table2.report(rows)
+    assert(out.startsWith("=== Table 2") && out.contains(Table2.format(rows)))
+    // Each dataset appears once measured and once in the paper block.
+    Seq("nethept", "epinions", "youtube", "livejournal").foreach(n =>
+      assert(out.split("\n").count(_.startsWith(n)) == 2, n))
+    assert(out.contains("--- paper values") && out.contains("4.85M") && out.contains("28.5"))
   }
 
   test("Table3.runCell: ASTI reaches η and fields are consistent") {
@@ -58,8 +63,10 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     val cells = Seq(
       Table3.Cell("d", IC, 0.1, 10, 5.0, 8, 2, 2),
       Table3.Cell("d", IC, 0.2, 20, 5.0, 8, 1, 2))
-    val out = Table3.format(cells)
-    assert(out.contains("60.0%") && out.contains("N/A"))
+    val out = Table3.report(cells)
+    assert(out.startsWith("=== Table 3") && out.contains(Table3.format(cells)))
+    assert(out.contains("60.0%") && out.contains("N/A(1/2 feasible)"))
+    assert(out.contains("--- paper values") && out.contains("40.8%  43.8%  43.0%  43.7%"))
   }
 
   test("Table3.paper carries the full 8-row grid") {

@@ -5,11 +5,6 @@ import repro.SparkSpec
 
 class GraphStatsSpec extends AnyFunSuite with SparkSpec {
 
-  test("avgDegree is m/n") {
-    assert(GraphStats.avgDegree(GraphGen.fig2) == 1.0)
-    assert(GraphStats.avgDegree(GraphGen.star(5, 0.5)) == 0.8)
-  }
-
   test("LWCC of a connected line graph is n") {
     val g = GraphGen.line(10, 0.5)
     assert(GraphStats.lwccSizeLocal(g) == 10)
@@ -39,12 +34,6 @@ class GraphStatsSpec extends AnyFunSuite with SparkSpec {
     val g = CompactGraph.fromDF(
       GraphGen.powerLawEdges(spark, 200, 500, 2.3, 13L, undirected = false), 200)
     assert(GraphStats.lwccSize(spark, g) == GraphStats.lwccSizeLocal(g))
-  }
-
-  test("compute bundles all stats") {
-    val g = GraphGen.line(4, 1.0)
-    val s = GraphStats.compute(spark, g)
-    assert(s == GraphStats.Stats(4, 3, 0.75, 4))
   }
 
   test("generated datasets are dominated by one large WCC") {
